@@ -61,6 +61,16 @@ def probe(h1: int, h2: int, i: int, modulus: int) -> int:
     return ((h1 + i * h2) & _MASK64) % modulus
 
 
+def mix64_offset(seed: int) -> int:
+    """The constant :func:`mix64` adds (mod 2**64) before mixing.
+
+    ``mix64(v, seed=s)`` equals ``mix64(v + (mix64_offset(s) -
+    mix64_offset(0)) % 2**64, seed=0)``, which lets one call hash a
+    broadcast of several seeds.
+    """
+    return (seed * 0x9E3779B97F4A7C15 + 0x9E3779B97F4A7C15) & _MASK64
+
+
 def mix64(values: "np.ndarray", seed: int) -> "np.ndarray":
     """Vectorized splitmix64 finalizer over a uint64 array.
 
@@ -69,7 +79,7 @@ def mix64(values: "np.ndarray", seed: int) -> "np.ndarray":
     shifts and two multiplies on the whole array.
     """
     z = values.astype(np.uint64, copy=True)
-    z += np.uint64((seed * 0x9E3779B97F4A7C15 + 0x9E3779B97F4A7C15) & _MASK64)
+    z += np.uint64(mix64_offset(seed))
     z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= z >> np.uint64(27)

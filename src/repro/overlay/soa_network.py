@@ -11,6 +11,14 @@ CSR gather/scatter fan-out). The binary-heap engine is retained for the
 sparse control plane: workload issue timers, attack batches, the
 per-minute window roll, and DD-POLICE conclusion timeouts.
 
+Messages are named by the directed edge they travel on. A query block
+is one int64 ``(5, k)`` array (rows ``QID, EDGE, TTL, OBJ, SIZE``); the
+receiver and sender of a query are ``_dst[e]`` and ``_src[e]``, and
+its reverse edge ``_rev[e]`` is where a forward must not go and where
+a QueryHit travels back. The seen-map stores each first sight's arrival
+edge (or ``ORIGIN`` for the issuing peer), so the route of a hit is an
+edge id too and no (src, dst) pair is ever searched for its edge.
+
 Equivalence contract (enforced by ``tests/property/test_soa_equivalence.py``)
 -----------------------------------------------------------------------------
 With churn/faults/bandwidth off and ``hop_latency_jitter_s == 0`` the
@@ -47,7 +55,7 @@ import numpy as np
 from repro.attack.cheating import CheatStrategy
 from repro.core.indicators import NeighborReport, indicators_from_reports
 from repro.errors import ConfigError
-from repro.evidence.hashing import mix64
+from repro.evidence.hashing import mix64, mix64_offset
 from repro.fluid.flows import build_edge_arrays, edge_slice_index
 from repro.metrics.accounting import QueryAccounting
 from repro.metrics.collectors import _SeriesMixin
@@ -68,6 +76,12 @@ if TYPE_CHECKING:  # pragma: no cover - type-only; avoids a layering cycle
 ORIGIN = -2
 #: Route lookup miss (seen-set entry expired or never existed).
 MISSING = -3
+
+#: Rows of a query block, the int64 ``(5, k)`` array of k queries in flight.
+QID, EDGE, TTL, OBJ, SIZE = range(5)
+
+#: Count-min increment, in the sketch cells' dtype.
+_ONE32 = np.int32(1)
 
 #: QueryHit wire size: 23-byte header + 11 + 40 * result_count(1) + 16.
 HIT_SIZE = 90
@@ -220,10 +234,8 @@ class SoaFloodEngine:
         self._rev = rev.astype(np.int64)
         self._indptr = edge_slice_index(self._src, n)
         self._E = len(src)
-        #: (src, dst)-packed keys; sorted because edges are (src, dst)-sorted.
-        self._ekeys = self._src * n + self._dst
         self.edge_alive = np.ones(self._E, dtype=bool)
-        self._alive_deg = np.diff(self._indptr).astype(np.int64)
+        self._deg = np.diff(self._indptr)
 
         # DES peers keep neighbors in a Python set, and issue_query /
         # _on_query emit sends in its *iteration order*. Which same-depth
@@ -251,6 +263,9 @@ class SoaFloodEngine:
         for peer, objs in self.content.peer_objects.items():
             for obj in objs:
                 holder_keys.append(obj * n + peer)
+        # Closed by a sentinel above every real key, so a searchsorted
+        # position is always a valid index, for an empty catalog too.
+        holder_keys.append(np.iinfo(np.int64).max)
         self._holder_keys = np.array(sorted(holder_keys), dtype=np.int64)
 
         # -- per-peer / per-edge dynamic state --------------------------
@@ -267,10 +282,20 @@ class SoaFloodEngine:
             # ``np.add.at`` cannot do the read-modify-min of conservative
             # update -- which still never undercounts, so no attacker
             # edge is ever missed; collisions only add false suspicion.
-            self._cm_w = ev.cm_width
-            self._cm_d = ev.cm_depth
-            self._cm_out = np.zeros((ev.cm_depth, ev.cm_width), dtype=np.int32)
-            self._cm_in = np.zeros((ev.cm_depth, ev.cm_width), dtype=np.int32)
+            # Cells are stored flat: row r occupies [r * width, (r + 1) * width).
+            self._cm_w = np.uint64(ev.cm_width)
+            self._cm_out = np.zeros(ev.cm_depth * ev.cm_width, dtype=np.int32)
+            self._cm_in = np.zeros(ev.cm_depth * ev.cm_width, dtype=np.int32)
+            # Row r hashes with mix64(e, seed=r + 1); shifting e by the
+            # row's seed offset lets one seed-0 call hash every row.
+            base = mix64_offset(0)
+            self._cm_offsets = np.array(
+                [(mix64_offset(r + 1) - base) % 2**64 for r in range(ev.cm_depth)],
+                dtype=np.uint64,
+            )[:, None]
+            self._cm_row_base = (
+                np.arange(ev.cm_depth, dtype=np.int64)[:, None] * ev.cm_width
+            )
             self.win_out: Optional[np.ndarray] = None
             self.win_in: Optional[np.ndarray] = None
         else:
@@ -308,8 +333,9 @@ class SoaFloodEngine:
             start_delay=net.minute_window_s,
             priority=-1,
         )
-        #: wave buffers: timestamp -> (query chunks, hit chunks). A chunk
-        #: is a tuple of parallel arrays appended in DES event order.
+        #: wave buffers: timestamp -> (query blocks, hit chunks), appended
+        #: in DES event order. Every message carries the edge id it
+        #: travels on: a query block's EDGE row, a hit chunk's second array.
         self._waves: Dict[float, Tuple[list, list]] = {}
         self.waves_processed = 0
 
@@ -342,32 +368,30 @@ class SoaFloodEngine:
     # ------------------------------------------------------------------
     # small helpers
     # ------------------------------------------------------------------
-    def _edge_ids(self, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        """Edge ids for directed pairs (u, v); pairs must be real edges."""
-        return np.searchsorted(self._ekeys, u * self.n + v)
+    def _cm_cells(self, eids: np.ndarray) -> np.ndarray:
+        """Flat sketch cells of ``eids``, shape ``(depth, len(eids))``.
 
-    def _cm_columns(self, eids: np.ndarray, row: int) -> np.ndarray:
-        """Sketch columns of ``eids`` in ``row`` (stateless: no column
-        table is stored, so evidence memory is the cells alone)."""
-        return mix64(eids.astype(np.uint64), seed=row + 1) % np.uint64(self._cm_w)
+        Row r's cell is ``mix64(e, seed=r + 1) % width + r * width``. It is
+        stateless (no column table is stored, so evidence memory is the
+        cells alone) and takes one ``mix64`` call for all rows.
+        """
+        cols = mix64(eids.astype(np.uint64) + self._cm_offsets, seed=0)
+        cols %= self._cm_w
+        return cols.view(np.int64) + self._cm_row_base
 
     def _count_out(self, eids: np.ndarray) -> None:
         """Count one outgoing query on each edge id (repeats allowed)."""
-        if not len(eids):
-            return
         if self._sketched:
-            for r in range(self._cm_d):
-                np.add.at(self._cm_out[r], self._cm_columns(eids, r), 1)
+            # An increment of the cells' own dtype keeps ``add.at`` on
+            # its fast path.
+            np.add.at(self._cm_out, self._cm_cells(eids), _ONE32)
         else:
             np.add.at(self.win_out, eids, 1)
 
     def _count_in(self, eids: np.ndarray) -> None:
         """Count one incoming query on each edge id (repeats allowed)."""
-        if not len(eids):
-            return
         if self._sketched:
-            for r in range(self._cm_d):
-                np.add.at(self._cm_in[r], self._cm_columns(eids, r), 1)
+            np.add.at(self._cm_in, self._cm_cells(eids), _ONE32)
         else:
             np.add.at(self.win_in, eids, 1)
 
@@ -377,20 +401,13 @@ class SoaFloodEngine:
         The police round then runs unchanged over these (possibly
         overestimated, never underestimated) per-edge minute counts.
         """
-        eids = np.arange(self._E, dtype=np.uint64)
-        est = cm[0][self._cm_columns(eids, 0)].astype(np.int64)
-        for r in range(1, self._cm_d):
-            est = np.minimum(est, cm[r][self._cm_columns(eids, r)])
-        return est
+        return cm[self._cm_cells(np.arange(self._E))].min(axis=0).astype(np.int64)
 
     def evidence_bytes(self) -> int:
         """Bytes of per-minute traffic-evidence state (both directions)."""
         if self._sketched:
             return int(self._cm_out.nbytes + self._cm_in.nbytes)
         return int(self.win_out.nbytes + self.win_in.nbytes)
-
-    def _edge_id(self, u: int, v: int) -> int:
-        return int(np.searchsorted(self._ekeys, u * self.n + v))
 
     def _alive_out_edges(self, p: int) -> np.ndarray:
         a, b = int(self._indptr[p]), int(self._indptr[p + 1])
@@ -412,20 +429,26 @@ class SoaFloodEngine:
             self.sim.schedule_at(t, self._process_wave, t, priority=1)
         return wave
 
-    def _push_queries(
-        self,
-        t: float,
-        qid: np.ndarray,
-        dst: np.ndarray,
-        src: np.ndarray,
-        ttl: np.ndarray,
-        obj: np.ndarray,
-        size: np.ndarray,
-    ) -> None:
-        self._wave_at(t)[0].append((qid, dst, src, ttl, obj, size))
+    def _push_queries(self, t: float, block: np.ndarray) -> None:
+        """A query block arriving at ``t``, each over its EDGE (src -> dst)."""
+        self._wave_at(t)[0].append(block)
 
-    def _push_hits(self, t: float, qid: np.ndarray, at: np.ndarray) -> None:
-        self._wave_at(t)[1].append((qid, at))
+    def _new_queries(
+        self, t: float, qid: int | np.ndarray, edge: np.ndarray, obj: int, size: int | np.ndarray
+    ) -> None:
+        """Queries leaving their origin over ``edge`` with the default TTL."""
+        block = np.empty((5, len(edge)), dtype=np.int64)
+        block[QID] = qid
+        block[EDGE] = edge
+        block[TTL] = self._default_ttl
+        block[OBJ] = obj
+        block[SIZE] = size
+        self._count_out(edge)
+        self._push_queries(t, block)
+
+    def _push_hits(self, t: float, qid: np.ndarray, edge: np.ndarray) -> None:
+        """QueryHits arriving at ``t``, each over edge ``edge``."""
+        self._wave_at(t)[1].append((qid, edge))
 
     # ------------------------------------------------------------------
     # workload (good queries; replicates QueryWorkload's rng sequence)
@@ -454,18 +477,7 @@ class SoaFloodEngine:
             self._pending_seen.append(
                 np.array([qid * self.n + pid], dtype=np.int64)
             )
-            self._count_out(eids)
-            targets = self._dst[eids]
-            k = len(targets)
-            self._push_queries(
-                now + self._hop,
-                np.full(k, qid, dtype=np.int64),
-                targets,
-                np.full(k, pid, dtype=np.int64),
-                np.full(k, self._default_ttl, dtype=np.int64),
-                np.full(k, obj, dtype=np.int64),
-                np.full(k, size, dtype=np.int64),
-            )
+            self._new_queries(now + self._hop, qid, eids, obj, size)
             self._wl_issued += 1
             self.stats.queries_issued += 1
         self.sim.schedule_in(
@@ -517,17 +529,7 @@ class SoaFloodEngine:
             self._pending_seen.append(qids * n + pid)
             # Round-robin over dst-sorted alive neighbors (the DES agent
             # sorts its neighbor set by peer id).
-            te = np.resize(eids, count)
-            self._count_out(te)
-            self._push_queries(
-                deliver_at,
-                qids,
-                self._dst[te],
-                np.full(count, pid, dtype=np.int64),
-                np.full(count, self._default_ttl, dtype=np.int64),
-                np.full(count, -1, dtype=np.int64),
-                sizes,
-            )
+            self._new_queries(deliver_at, qids, np.resize(eids, count), -1, sizes)
             self.stats.attack_queries_sent += count
             self.stats.queries_issued += count
         self.sim.schedule_in(1.0, self._attack_batch)
@@ -552,13 +554,9 @@ class SoaFloodEngine:
             self._process_hits(t, hchunks)
         self.waves_processed += 1
 
-    def _process_queries(self, t: float, chunks: list) -> None:
-        if len(chunks) == 1:
-            qid, dst, src, ttl, obj, size = chunks[0]
-        else:
-            qid, dst, src, ttl, obj, size = (
-                np.concatenate([c[i] for c in chunks]) for i in range(6)
-            )
+    def _process_queries(self, t: float, blocks: list) -> None:
+        wave = blocks[0] if len(blocks) == 1 else np.concatenate(blocks, axis=1)
+        qid, e, ttl, obj, size = wave
         m = len(qid)
         stats = self.stats
         stats.messages_delivered += m
@@ -568,101 +566,113 @@ class SoaFloodEngine:
         # In_query window stamps: receiver-side, gated on the connection
         # still existing (in-flight copies on a cut edge deliver but do
         # not resurrect the counter key).
-        e_in = self._edge_ids(src, dst)
-        alive = self.edge_alive[e_in]
-        self._count_in(e_in[alive])
+        alive = self.edge_alive[e]
+        n_alive = np.count_nonzero(alive)
+        if n_alive == m:
+            self._count_in(e)
+        elif n_alive:
+            self._count_in(e[alive])
 
         # Duplicate suppression: within-wave first occurrence, then the
-        # cross-wave seen-set. Route = arrival neighbor of the first
-        # sight, recorded even for copies the capacity clamp later drops.
+        # cross-wave seen-set. A stable sort puts each key's copies side
+        # by side in arrival order, so the first of a run is the first
+        # arrival. Route = arrival edge of the first sight, recorded even
+        # for copies the capacity clamp later drops.
+        dst = self._dst[e]
         keys = qid * self.n + dst
-        uniq_keys, first_idx = np.unique(keys, return_index=True)
-        fresh = self.seen.insert_new(uniq_keys, src[first_idx])
-        keep = np.sort(first_idx[fresh])  # back to arrival order
-        stats.queries_dropped_duplicate += m - len(keep)
-        if not len(keep):
+        order = keys.argsort(kind="stable")
+        ks = keys[order]
+        head = np.empty(m, dtype=bool)
+        head[0] = True
+        np.not_equal(ks[1:], ks[:-1], out=head[1:])
+        first_idx = order[head]
+        fresh = self.seen.insert_new(ks[head], e[first_idx])
+        k = int(np.count_nonzero(fresh))
+        stats.queries_dropped_duplicate += m - k
+        if k == 0:
             return
-        qid, dst, src, ttl, obj, size = (
-            a[keep] for a in (qid, dst, src, ttl, obj, size)
-        )
+        if k < m:
+            keep = np.sort(first_idx[fresh])  # back to arrival order
+            wave = wave[:, keep]
+            qid, e, ttl, obj, size = wave
+            dst = dst[keep]
 
         # Capacity clamp: per receiving peer, the first `granted` fresh
         # arrivals (in arrival order) consume tokens; the rest drop.
-        order = np.argsort(dst, kind="stable")
+        order = dst.argsort(kind="stable")
         ds = dst[order]
-        peers, counts = np.unique(ds, return_counts=True)
-        granted = self.bucket.grant(peers, counts, t)
-        starts = np.cumsum(counts) - counts
-        rank = np.arange(len(ds)) - np.repeat(starts, counts)
-        passed = np.empty(len(ds), dtype=bool)
-        passed[order] = rank < np.repeat(granted, counts)
-        dropped = len(ds) - int(passed.sum())
-        stats.queries_dropped_capacity += dropped
-        if dropped == len(ds):
-            return
+        cut = np.empty(k + 1, dtype=bool)
+        cut[0] = cut[k] = True
+        np.not_equal(ds[1:], ds[:-1], out=cut[1:k])
+        bounds = cut.nonzero()[0]
+        starts = bounds[:-1]
+        counts = bounds[1:] - starts
+        granted = self.bucket.grant(ds[starts], counts, t)
+        if np.count_nonzero(granted != counts):
+            rank = np.arange(k) - np.repeat(starts, counts)
+            passed = np.empty(k, dtype=bool)
+            passed[order] = rank < np.repeat(granted, counts)
+            k_pass = int(np.count_nonzero(passed))
+            stats.queries_dropped_capacity += k - k_pass
+            if k_pass == 0:
+                return
+            wave = wave[:, passed]
+            qid, e, ttl, obj, size = wave
+            dst = dst[passed]
 
         # Local content match -> QueryHit back along the arrival edge.
-        cand = passed & (obj >= 0)
-        if cand.any():
+        cand = (obj >= 0).nonzero()[0]
+        if len(cand):
             hkeys = obj[cand] * self.n + dst[cand]
-            pos = np.searchsorted(self._holder_keys, hkeys)
-            pos[pos >= len(self._holder_keys)] = 0 if len(self._holder_keys) else 0
-            found = (
-                self._holder_keys[pos] == hkeys
-                if len(self._holder_keys)
-                else np.zeros(len(hkeys), dtype=bool)
-            )
-            if found.any():
-                self._push_hits(
-                    t + self._hop, qid[cand][found], src[cand][found]
-                )
+            holders = self._holder_keys
+            found = holders[holders.searchsorted(hkeys)] == hkeys
+            if np.count_nonzero(found):
+                hit = cand[found]
+                self._push_hits(t + self._hop, qid[hit], self._rev[e[hit]])
 
         # CSR fan-out of the survivors with TTL left: forward to every
-        # alive neighbor except the arrival edge's source.
-        fwd = passed & (ttl > 1)
-        if not fwd.any():
+        # alive neighbor except back along the arrival edge.
+        f_idx = (ttl > 1).nonzero()[0]
+        if not len(f_idx):
             return
-        f_idx = np.flatnonzero(fwd)
         u = dst[f_idx]
-        lens = self._indptr[u + 1] - self._indptr[u]
-        total = int(lens.sum())
+        lens = self._deg[u]
+        ends = lens.cumsum()
+        total = int(ends[-1])
         if total == 0:
             return
-        first = np.cumsum(lens) - lens
-        rel = np.arange(total) - np.repeat(first, lens)
+        # Position i of the concatenated neighbor rows maps to row
+        # indptr[u] + (i - first row of its owner).
+        rows = np.arange(total) + np.repeat(self._indptr[u] - (ends - lens), lens)
         # Map row positions through the protocol-order permutation so
         # each owner's forwards are emitted in DES set-iteration order.
-        e = self._proto_edge[np.repeat(self._indptr[u], lens) + rel]
+        out = self._proto_edge[rows]
         owner = np.repeat(f_idx, lens)
-        ok = self.edge_alive[e] & (self._dst[e] != src[owner])
-        if not ok.any():
+        ok = self.edge_alive[out] & (out != self._rev[e[owner]])
+        if not np.count_nonzero(ok):
             return
-        e = e[ok]
-        owner = owner[ok]
-        self._count_out(e)
-        self._push_queries(
-            t + self._hop,
-            qid[owner],
-            self._dst[e],
-            self._src[e],
-            ttl[owner] - 1,
-            obj[owner],
-            size[owner],
-        )
+        out = out[ok]
+        self._count_out(out)
+        block = wave[:, owner[ok]]
+        block[EDGE] = out
+        block[TTL] -= 1
+        self._push_queries(t + self._hop, block)
 
     def _process_hits(self, t: float, chunks: list) -> None:
         if len(chunks) == 1:
-            qid, at = chunks[0]
+            qid, e = chunks[0]
         else:
             qid = np.concatenate([c[0] for c in chunks])
-            at = np.concatenate([c[1] for c in chunks])
+            e = np.concatenate([c[1] for c in chunks])
         m = len(qid)
         stats = self.stats
         stats.messages_delivered += m
         stats.bytes_transferred += HIT_SIZE * m
         stats.hit_messages += m
 
-        back = self.seen.lookup(qid * self.n + at, missing=MISSING)
+        # The seen-map holds the edge each query first arrived on; the
+        # hit goes back along its reverse.
+        back = self.seen.lookup(qid * self.n + self._dst[e], missing=MISSING)
         is_origin = back == ORIGIN
         if is_origin.any():
             meta = self._meta
@@ -679,12 +689,11 @@ class SoaFloodEngine:
         if not route.any():
             return
         q2 = qid[route]
-        a2 = at[route]
-        b2 = back[route]
-        alive = self.edge_alive[self._edge_ids(a2, b2)]
+        e2 = self._rev[back[route]]
+        alive = self.edge_alive[e2]
         stats.hits_dropped_no_route += int((~alive).sum())
         if alive.any():
-            self._push_hits(t + self._hop, q2[alive], b2[alive])
+            self._push_hits(t + self._hop, q2[alive], e2[alive])
 
     # ------------------------------------------------------------------
     # minute roll + DD-POLICE
@@ -739,42 +748,50 @@ class SoaFloodEngine:
             return
         now = self.sim.now
         report_at = now + self._hop  # direct observers' reports land here
-        by_time: Dict[float, List[Tuple[int, int, float, float, bool]]] = {}
+        by_time: Dict[float, List[tuple]] = {}
         suspects = np.unique(self._src[crossing])
         for j in suspects.tolist():
             observers = set(
                 self._dst[crossing[self._src[crossing] == j]].tolist()
             )
             good_direct = any(not self._bad_mask[u] for u in observers)
-            nbrs = self._dst[self._alive_out_edges(j)].tolist()
-            # Without a good direct observer no reports circulate, so
-            # nobody joins: only the directs investigate (on silence).
+            # Edge j -> m for every alive neighbor m; its reverse is m -> j.
+            e_from_j = self._alive_out_edges(j)
+            nbrs = self._dst[e_from_j].tolist()
+            e_to_j = self._rev[e_from_j]
+            out_to_j = prev_out[e_to_j].tolist()  # Q_mj: m's Out toward j
+            in_from_j = prev_in[e_from_j].tolist()  # Q_jm: m's In from j
+            at = {m: i for i, m in enumerate(nbrs)}
+            # What each member reports does not depend on who investigates:
+            # without a good direct observer no reports circulate, and
+            # SILENT attackers never report.
+            bad = self._bad_mask[nbrs].tolist()
+            sent: List[Optional[NeighborReport]] = [
+                NeighborReport(member=m, outgoing=out_to_j[i], incoming=in_from_j[i])
+                if good_direct and not bad[i] else None
+                for i, m in enumerate(nbrs)
+            ]
+            # Without a good direct observer nobody joins: only the
+            # directs investigate (on silence).
             members = nbrs if good_direct else sorted(observers)
             for u in members:
-                own_out = int(prev_out[self._edge_id(u, j)])
-                own_in = int(prev_in[self._edge_id(j, u)])
+                iu = at[u]
                 reports: Dict[int, Optional[NeighborReport]] = {}
                 missing = False
                 last_direct = -1
                 last_joiner = -1
-                for mem in nbrs:
-                    if mem == u:
+                for i, mem in enumerate(nbrs):
+                    if i == iu:
                         continue
-                    if good_direct and not self._bad_mask[mem]:
-                        reports[mem] = NeighborReport(
-                            member=mem,
-                            outgoing=int(prev_out[self._edge_id(mem, j)]),
-                            incoming=int(prev_in[self._edge_id(j, mem)]),
-                        )
-                        if mem in observers:
-                            last_direct = max(last_direct, mem)
-                        else:
-                            last_joiner = max(last_joiner, mem)
-                    else:
-                        reports[mem] = None
+                    rep = reports[mem] = sent[i]
+                    if rep is None:
                         missing = True
+                    elif mem in observers:
+                        last_direct = max(last_direct, mem)
+                    else:
+                        last_joiner = max(last_joiner, mem)
                 g, s = indicators_from_reports(
-                    u, own_out, own_in, reports, police.q_threshold_qpm
+                    u, out_to_j[iu], in_from_j[iu], reports, police.q_threshold_qpm
                 )
                 convicted = g > police.cut_threshold or s > police.cut_threshold
                 # An investigation completes at the arrival of its *last*
@@ -799,17 +816,21 @@ class SoaFloodEngine:
                 else:
                     t_end = report_at + self._hop
                     rank = last_joiner
-                by_time.setdefault(t_end, []).append((rank, u, j, g, s, convicted))
+                # (rank, u, j) is unique, so the sort never compares past it.
+                by_time.setdefault(t_end, []).append((
+                    rank, u, j, g, s, convicted,
+                    int(e_to_j[iu]), int(e_from_j[iu]),
+                ))
         for t_end in sorted(by_time):
             decisions = [
                 d[1:] for d in sorted(by_time[t_end])
             ]
             self.sim.schedule_at(t_end, self._conclude, decisions)
 
-    def _conclude(self, decisions: List[Tuple[int, int, float, float, bool]]) -> None:
+    def _conclude(self, decisions: List[tuple]) -> None:
+        """Record each ``(u, j, g, s, convicted, e_uj, e_ju)`` decision."""
         now = self.sim.now
-        for u, j, g, s, convicted in decisions:
-            e_uj = self._edge_id(u, j)
+        for u, j, g, s, convicted, e_uj, e_ju in decisions:
             if not self.edge_alive[e_uj]:
                 # The edge died before this conclusion (possibly cut by an
                 # earlier decision in this same batch): the message engine
@@ -817,11 +838,8 @@ class SoaFloodEngine:
                 # so no judgment is recorded.
                 continue
             if convicted:
-                e_ju = self._edge_id(j, u)
                 self.edge_alive[e_uj] = False
                 self.edge_alive[e_ju] = False
-                self._alive_deg[u] -= 1
-                self._alive_deg[j] -= 1
                 self.stats.edges_cut += 1
                 disconnected = True
             else:

@@ -1,8 +1,12 @@
 """Heap-based discrete-event simulator.
 
-The engine owns a virtual clock and a binary heap of :class:`Event`
-objects. Cancellation is lazy: cancelled events stay in the heap and are
-skipped on pop, which keeps ``cancel`` O(1) and pop amortized O(log n).
+The engine owns a virtual clock and a binary heap of
+``(time, priority, seq, event)`` entries: the tuple order is the
+scheduling order, so ``heapq`` compares entries in C and never touches
+the :class:`Event` itself (``seq`` is unique, so comparison stops
+before the event). Cancellation is lazy: cancelled events stay in the
+heap and are skipped on pop, which keeps ``cancel`` O(1) and pop
+amortized O(log n).
 Cancelled events are counted live (events report their cancellation back
 to the owning simulator), so ``pending_count`` is O(1), and the heap is
 compacted in place once cancelled entries dominate it -- long runs with
@@ -15,6 +19,9 @@ import heapq
 from typing import Any, Callable, Iterable, List, Optional, Tuple
 
 from repro.simkit.events import Event, EventState
+
+#: A heap entry: ``(time, priority, seq, event)``.
+_Entry = Tuple[float, int, int, Event]
 
 #: Compaction never triggers below this many cancelled entries; above it,
 #: the heap is rebuilt once cancelled entries outnumber pending ones.
@@ -45,7 +52,7 @@ class Simulator:
         if start_time < 0:
             raise ValueError("start_time must be non-negative")
         self._now = float(start_time)
-        self._heap: List[Event] = []
+        self._heap: List[_Entry] = []
         self._seq = 0
         self._running = False
         self._stopped = False
@@ -85,10 +92,11 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule into the past: t={time} < now={self._now}"
             )
-        ev = Event(time, self._seq, callback, args, priority=priority, tag=tag)
+        seq = self._seq
+        ev = Event(time, seq, callback, args, priority=priority, tag=tag)
         ev.owner = self
-        self._seq += 1
-        heapq.heappush(self._heap, ev)
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (ev.time, ev.priority, seq, ev))
         return ev
 
     def schedule_in(
@@ -124,6 +132,7 @@ class Simulator:
         peer at n >= 100k).
         """
         events: List[Event] = []
+        entries: List[_Entry] = []
         for item in items:
             time, callback, *args = item
             if time < self._now:
@@ -132,9 +141,10 @@ class Simulator:
                 )
             ev = Event(time, self._seq, callback, tuple(args), priority=priority, tag=tag)
             ev.owner = self
+            entries.append((ev.time, ev.priority, self._seq, ev))
             self._seq += 1
             events.append(ev)
-        self._heap.extend(events)
+        self._heap.extend(entries)
         heapq.heapify(self._heap)
         return events
 
@@ -155,7 +165,9 @@ class Simulator:
 
     def _compact(self) -> None:
         before = len(self._heap)
-        self._heap = [e for e in self._heap if e.pending]
+        # In place: ``run`` holds a reference to the list across callbacks,
+        # and a callback's ``cancel`` may trigger this compaction.
+        self._heap[:] = [entry for entry in self._heap if entry[3].pending]
         heapq.heapify(self._heap)
         self._cancelled_in_heap = 0
         if self.tracer is not None:
@@ -163,20 +175,19 @@ class Simulator:
                 "sim.compact", t=self._now, before=before, after=len(self._heap)
             )
 
-    def _pop_cancelled(self) -> Event:
+    def _pop_cancelled(self) -> None:
         """Pop the heap top known to be cancelled, maintaining the counter."""
-        ev = heapq.heappop(self._heap)
+        heapq.heappop(self._heap)
         self._cancelled_in_heap -= 1
-        return ev
 
     # -- execution ---------------------------------------------------------
     def step(self) -> Optional[Event]:
         """Fire the single next pending event; return it, or None if empty."""
         while self._heap:
-            if self._heap[0].cancelled:
+            if self._heap[0][3].cancelled:
                 self._pop_cancelled()
                 continue
-            ev = heapq.heappop(self._heap)
+            ev = heapq.heappop(self._heap)[3]
             self._now = ev.time
             if self.tracer is not None:
                 self.tracer.event("sim.dispatch", t=ev.time, tag=ev.tag)
@@ -202,18 +213,21 @@ class Simulator:
         self._stopped = False
         fired = 0
         tracer = self.tracer
+        heap = self._heap
+        heappop = heapq.heappop
         try:
-            while self._heap and not self._stopped:
+            while heap and not self._stopped:
                 if max_events is not None and fired >= max_events:
                     break
-                nxt = self._heap[0]
+                entry = heap[0]
+                nxt = entry[3]
                 if nxt.cancelled:
                     self._pop_cancelled()
                     continue
-                if until is not None and nxt.time > until:
+                if until is not None and entry[0] > until:
                     break
-                heapq.heappop(self._heap)
-                self._now = nxt.time
+                heappop(heap)
+                self._now = entry[0]
                 if tracer is not None:
                     tracer.event("sim.dispatch", t=nxt.time, tag=nxt.tag)
                 nxt.fire()
@@ -231,9 +245,9 @@ class Simulator:
     # -- introspection -------------------------------------------------
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is empty."""
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][3].cancelled:
             self._pop_cancelled()
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][0] if self._heap else None
 
     def drain(self) -> Tuple[int, int]:
         """Discard all queued events; returns (pending, cancelled) counts.
@@ -243,7 +257,8 @@ class Simulator:
         """
         pending = len(self._heap) - self._cancelled_in_heap
         cancelled = self._cancelled_in_heap
-        for ev in self._heap:
+        for entry in self._heap:
+            ev = entry[3]
             if ev.pending:
                 ev.state = EventState.CANCELLED
         self._heap.clear()

@@ -1,8 +1,9 @@
 """Event objects for the DES kernel.
 
-Events are comparable on ``(time, priority, sequence)`` so the scheduler's
-heap yields a deterministic total order: earlier time first, then lower
-priority number, then insertion order (FIFO among ties).
+The scheduler orders events on ``(time, priority, sequence)``, a
+deterministic total order: earlier time first, then lower priority
+number, then insertion order (FIFO among ties). It keeps that key in
+its heap entries, so events themselves are never compared.
 """
 
 from __future__ import annotations
@@ -62,10 +63,6 @@ class Event:
         #: an O(1) pending count and compact the heap.
         self.owner: Optional[Any] = None
 
-    @property
-    def sort_key(self) -> Tuple[float, int, int]:
-        return (self.time, self.priority, self.seq)
-
     def cancel(self) -> bool:
         """Cancel a pending event. Returns True if it was still pending."""
         if self.state is EventState.PENDING:
@@ -89,10 +86,6 @@ class Event:
             raise RuntimeError(f"cannot fire event in state {self.state}")
         self.state = EventState.FIRED
         self.callback(*self.args)
-
-    # Heap ordering -------------------------------------------------------
-    def __lt__(self, other: "Event") -> bool:
-        return self.sort_key < other.sort_key
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         name = getattr(self.callback, "__name__", repr(self.callback))

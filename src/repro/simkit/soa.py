@@ -7,8 +7,8 @@ have no per-element Python cost:
 
 * :class:`Int64Map` -- an open-addressing int64 -> int64 hash table with
   fully vectorized batch insert/lookup. It backs the unified seen-set /
-  reverse-route table (key ``qid * n + peer``, value = the neighbor the
-  query arrived from, or the ``ORIGIN`` sentinel for own issues).
+  reverse-route table (key ``qid * n + peer``, value = the edge id the
+  query arrived on, or the ``ORIGIN`` sentinel for own issues).
   Because flood state is only live for one query lifetime
   (``2 * TTL * hop_latency`` seconds), the map is *generational*: two
   tables rotate on an epoch clock and lookups consult both, so memory is
@@ -18,13 +18,13 @@ have no per-element Python cost:
   :class:`repro.overlay.capacity.TokenBucket` float-for-float when
   refill points coincide (capped linear refill composes path
   independently, so it does).
-* :class:`GrowArray` -- an amortized-growth typed append buffer used to
-  accumulate wave entries before they are frozen into numpy views.
+
+Waves are small (tens of deliveries), so these primitives are written
+to make few numpy calls per batch rather than to scale per element:
+no ``np.unique`` (a sort plus several passes) on the per-wave path.
 """
 
 from __future__ import annotations
-
-from typing import Tuple
 
 import numpy as np
 
@@ -43,10 +43,18 @@ def _hash_slots(keys: np.ndarray, log2_cap: int) -> np.ndarray:
     return (h >> np.uint64(64 - log2_cap)).astype(np.int64)
 
 
-class _Table:
-    """One open-addressing generation: parallel key/value arrays."""
+#: Consecutive slots one probe round reads. At the engine's usual load
+#: (well below the 0.5 cap) nearly every probe chain ends inside its
+#: first window, so a batch usually resolves in one round; longer chains
+#: continue in the next window. A wider window costs memory per key.
+_WINDOW = 4
+_WINDOW_OFFSETS = np.arange(_WINDOW, dtype=np.int64)
 
-    __slots__ = ("keys", "vals", "log2_cap", "mask", "size")
+
+class _Table:
+    """One open-addressing generation (linear probing): parallel key/value arrays."""
+
+    __slots__ = ("keys", "vals", "log2_cap", "mask", "size", "max_key")
 
     def __init__(self, log2_cap: int) -> None:
         cap = 1 << log2_cap
@@ -55,84 +63,87 @@ class _Table:
         self.log2_cap = log2_cap
         self.mask = np.int64(cap - 1)
         self.size = 0
+        #: Upper bound of the keys stored (EMPTY while there are none).
+        self.max_key = int(EMPTY)
+
+    def may_hold(self, query_keys: np.ndarray) -> bool:
+        """False when none of the (non-empty) ``query_keys`` can be stored here."""
+        return self.size > 0 and int(query_keys.min()) <= self.max_key
 
     # -- vectorized probing -------------------------------------------------
+    def _probe(self, want: np.ndarray, start: np.ndarray) -> np.ndarray:
+        """Per key, the first slot from ``start`` on holding it or EMPTY.
+
+        Reads one window of slots per key and round; only the keys whose
+        window held neither go on to the next round.
+        """
+        slots = rows = None  # rows: those of ``want`` still probing
+        keys = want
+        while True:
+            # mode="wrap" takes slot indices modulo the (power-of-two)
+            # capacity, so the window wraps around the table's end.
+            seen = self.keys.take(start[:, None] + _WINDOW_OFFSETS, mode="wrap")
+            stop = seen == keys[:, None]
+            stop |= seen == EMPTY
+            # argmax is 0 where no slot of the window stops the probe;
+            # such a row finds another key at its ``at``.
+            at = (start + stop.argmax(axis=1)) & self.mask
+            if rows is None:
+                slots = at
+            else:
+                slots[rows] = at
+            held = self.keys[at]
+            going = ((held != keys) & (held != EMPTY)).nonzero()[0]
+            if not len(going):
+                return slots
+            rows = going if rows is None else rows[going]
+            keys = keys[going]
+            start = (at[going] + _WINDOW) & self.mask
+
     def lookup(self, query_keys: np.ndarray, out: np.ndarray) -> None:
         """Write values for found keys into ``out`` (missing untouched)."""
-        n = len(query_keys)
-        if n == 0:
+        if not len(query_keys):
             return
-        pending = np.arange(n)
-        slots = _hash_slots(query_keys, self.log2_cap)
-        while len(pending):
-            table_keys = self.keys[slots]
-            found = table_keys == query_keys[pending]
-            if found.any():
-                out[pending[found]] = self.vals[slots[found]]
-            live = ~(found | (table_keys == EMPTY))
-            pending = pending[live]
-            slots = (slots[live] + 1) & self.mask
+        slots = self._probe(query_keys, _hash_slots(query_keys, self.log2_cap))
+        found = self.keys[slots] == query_keys
+        out[found] = self.vals[slots[found]]
 
     def contains(self, query_keys: np.ndarray) -> np.ndarray:
         """Boolean membership mask for ``query_keys``."""
-        n = len(query_keys)
-        hit = np.zeros(n, dtype=bool)
-        if n == 0:
-            return hit
-        pending = np.arange(n)
-        slots = _hash_slots(query_keys, self.log2_cap)
-        while len(pending):
-            table_keys = self.keys[slots]
-            found = table_keys == query_keys[pending]
-            hit[pending[found]] = True
-            live = ~(found | (table_keys == EMPTY))
-            pending = pending[live]
-            slots = (slots[live] + 1) & self.mask
-        return hit
+        if not len(query_keys):
+            return np.zeros(0, dtype=bool)
+        slots = self._probe(query_keys, _hash_slots(query_keys, self.log2_cap))
+        return self.keys[slots] == query_keys
 
     def insert_unique(self, keys: np.ndarray, vals: np.ndarray) -> np.ndarray:
         """Insert batch-unique keys; return the freshly-inserted mask.
 
-        ``keys`` must contain no within-batch duplicates (dedup the batch
-        with ``np.unique`` first). Keys already present keep their stored
-        value (first writer wins, matching the DES reverse-route table,
-        which is only written on first sight of a GUID). Same-slot
-        contention inside the batch is serialized one claimant per probe
-        round via ``np.unique`` on the slot array.
+        ``keys`` must contain no within-batch duplicates. Keys already
+        present keep their stored value (first writer wins, matching the
+        DES reverse-route table, which is only written on first sight of
+        a GUID). Several new keys can reach the same empty slot; every
+        contender's key is scattered into it and the slot read back: the
+        key that landed wins, the others probe on from that slot. Which
+        contender wins only changes the table layout, never membership
+        or stored values.
         """
-        n = len(keys)
-        fresh = np.zeros(n, dtype=bool)
-        if n == 0:
-            return fresh
-        pending = np.arange(n)
-        slots = _hash_slots(keys, self.log2_cap)
-        while len(pending):
-            table_keys = self.keys[slots]
-            match = table_keys == keys[pending]
-            empty = table_keys == EMPTY
-            claimed = np.zeros(len(pending), dtype=bool)
-            if empty.any():
-                empty_pos = np.flatnonzero(empty)
-                # One winner per contested slot this round; losers re-probe
-                # the same slot, see the winner's (different) key, advance.
-                _, first = np.unique(slots[empty_pos], return_index=True)
-                winners = empty_pos[first]
-                win_slots = slots[winners]
-                win_rows = pending[winners]
-                self.keys[win_slots] = keys[win_rows]
-                self.vals[win_slots] = vals[win_rows]
-                fresh[win_rows] = True
-                claimed[winners] = True
-                self.size += len(winners)
-            live = ~(match | claimed)
-            # Occupied-mismatch probes advance; claim-race losers retry
-            # the same slot (next round it holds the winner's different
-            # key, so they advance then). Every round either claims a
-            # slot or advances a probe -- the loop terminates.
-            advance = live & ~empty
-            slots = np.where(advance, slots + 1, slots) & self.mask
-            pending = pending[live]
-            slots = slots[live]
+        if not len(keys):
+            return np.zeros(0, dtype=bool)
+        self.max_key = max(self.max_key, int(keys.max()))
+        slots = self._probe(keys, _hash_slots(keys, self.log2_cap))
+        fresh = self.keys[slots] != keys  # not present: slots[i] is empty
+        rows = fresh.nonzero()[0]
+        while len(rows):
+            want = keys[rows]
+            at = slots[rows]
+            self.keys[at] = want
+            won = self.keys[at] == want
+            self.vals[at[won]] = vals[rows[won]]
+            self.size += int(np.count_nonzero(won))
+            lost = (~won).nonzero()[0]
+            rows = rows[lost]
+            if len(rows):
+                slots[rows] = self._probe(keys[rows], at[lost])
         return fresh
 
 
@@ -145,6 +156,11 @@ class Int64Map:
     ``epoch_s`` longer than the flood lifetime (``2 * TTL * hop_latency``)
     and the rotation is semantically invisible, exactly like the DES
     peers' LRU ``_seen`` caches whose capacity is never binding.
+
+    The previous generation is skipped when it cannot hold any key of a
+    batch: when it is empty, or when every key is above its largest.
+    Keys that grow with time (the engine's ``qid * n + peer``) make the
+    second case common once an epoch's old floods have died out.
     """
 
     def __init__(self, *, initial_log2_cap: int = 10, epoch_s: float = 2.0) -> None:
@@ -194,20 +210,23 @@ class Int64Map:
         if len(keys) == 0:
             return np.zeros(0, dtype=bool)
         self._grow_current(len(keys))
-        in_prev = self._previous.contains(keys)
-        fresh = np.zeros(len(keys), dtype=bool)
-        todo = ~in_prev
-        if todo.any():
-            fresh[todo] = self._current.insert_unique(keys[todo], vals[todo])
-        return fresh
+        if self._previous.may_hold(keys):
+            in_prev = self._previous.contains(keys)
+            if np.count_nonzero(in_prev):
+                fresh = np.zeros(len(keys), dtype=bool)
+                todo = ~in_prev
+                fresh[todo] = self._current.insert_unique(keys[todo], vals[todo])
+                return fresh
+        return self._current.insert_unique(keys, vals)
 
     def lookup(self, keys: np.ndarray, missing: int = -3) -> np.ndarray:
         """Values for ``keys``; ``missing`` where absent from both tables."""
         keys = np.asarray(keys, dtype=np.int64)
         out = np.full(len(keys), missing, dtype=np.int64)
-        # Previous first, then current: an entry can only exist in one
-        # generation (inserts check both), so overwrite order is moot.
-        self._previous.lookup(keys, out)
+        # An entry can only exist in one generation (inserts check both),
+        # so the order of the two lookups is moot.
+        if len(keys) and self._previous.may_hold(keys):
+            self._previous.lookup(keys, out)
         self._current.lookup(keys, out)
         return out
 
@@ -255,42 +274,3 @@ class TokenBucketArray:
         self.tokens[peers] = t - granted
         self.last[peers] = now
         return granted
-
-
-class GrowArray:
-    """Typed append buffer with amortized O(1) bulk extend."""
-
-    __slots__ = ("_data", "_len")
-
-    def __init__(self, dtype, initial: int = 1024) -> None:
-        self._data = np.empty(initial, dtype=dtype)
-        self._len = 0
-
-    def __len__(self) -> int:
-        return self._len
-
-    def extend(self, values: np.ndarray) -> None:
-        need = self._len + len(values)
-        if need > len(self._data):
-            new_cap = max(need, 2 * len(self._data))
-            grown = np.empty(new_cap, dtype=self._data.dtype)
-            grown[: self._len] = self._data[: self._len]
-            self._data = grown
-        self._data[self._len : need] = values
-        self._len = need
-
-    def view(self) -> np.ndarray:
-        """Zero-copy view of the filled prefix."""
-        return self._data[: self._len]
-
-
-def dedup_first_occurrence(keys: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """(unique_keys, first_occurrence_indices) preserving first arrivals.
-
-    ``np.unique(return_index=True)`` documents that the returned indices
-    are those of the *first* occurrence of each unique value -- the same
-    winner the sequential DES picks when several same-timestamp copies of
-    one query reach one peer.
-    """
-    uniq, first = np.unique(keys, return_index=True)
-    return uniq, first

@@ -37,6 +37,15 @@ def test_ties_fire_fifo():
     assert fired == list(range(10))
 
 
+def test_many_same_time_same_priority_events_fire_fifo_by_seq():
+    sim = Simulator()
+    fired = []
+    events = [sim.schedule_at(2.0, fired.append, i, priority=3) for i in range(10_000)]
+    sim.run()
+    assert fired == list(range(10_000))
+    assert [ev.seq for ev in events] == sorted(ev.seq for ev in events)
+
+
 def test_priority_orders_same_time_events():
     sim = Simulator()
     fired = []
@@ -288,3 +297,49 @@ def test_schedule_bulk_events_are_cancellable():
     assert sim.pending_count == 5
     sim.run()
     assert fired == [1, 3, 5, 7, 9]
+
+
+def test_heap_entries_support_cancel_compaction_peek_and_drain():
+    from repro.simkit.engine import COMPACTION_MIN_CANCELLED
+
+    sim = Simulator()
+    fired = []
+    n = 4 * COMPACTION_MIN_CANCELLED
+    events = [sim.schedule_at(1.0 + (i % 7), fired.append, i) for i in range(n)]
+    # Cancel three of every four, plus the first: compaction runs part-way.
+    for i, ev in enumerate(events):
+        if i % 4 or i == 0:
+            assert ev.cancel()
+    assert len(sim._heap) < n
+    survivors = sorted((ev.time, ev.seq) for ev in events if ev.pending)
+    assert sim.pending_count == len(survivors) == n // 4 - 1
+    assert sim.peek_time() == survivors[0][0]
+    sim.run(until=3.0)
+    assert fired == [seq for time, seq in survivors if time <= 3.0]
+    late = sim.schedule_at(3.0, fired.append, "late")
+    assert sim.peek_time() == 3.0
+    in_heap = len(sim._heap)
+    pending, cancelled = sim.drain()
+    assert pending == sum(1 for time, _ in survivors if time > 3.0) + 1
+    assert pending + cancelled == in_heap
+    assert late.cancelled and sim.peek_time() is None and sim.pending_count == 0
+
+
+def test_compaction_triggered_inside_a_running_callback():
+    from repro.simkit.engine import COMPACTION_MIN_CANCELLED
+
+    sim = Simulator()
+    fired = []
+    n = 4 * COMPACTION_MIN_CANCELLED
+    victims = [sim.schedule_at(2.0 + i, fired.append, i) for i in range(n)]
+
+    def cancel_most():
+        fired.append("cancel")
+        for ev in victims:
+            if ev.seq % 8:
+                ev.cancel()
+
+    sim.schedule_at(1.0, cancel_most)
+    sim.run()
+    assert fired == ["cancel"] + [ev.seq for ev in victims if ev.seq % 8 == 0]
+    assert sim.pending_count == 0

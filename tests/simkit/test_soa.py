@@ -7,12 +7,7 @@ import pytest
 
 from repro.errors import ConfigError
 from repro.overlay.capacity import TokenBucket
-from repro.simkit.soa import (
-    GrowArray,
-    Int64Map,
-    TokenBucketArray,
-    dedup_first_occurrence,
-)
+from repro.simkit.soa import Int64Map, TokenBucketArray, _hash_slots
 
 
 # ----------------------------------------------------------------------
@@ -75,6 +70,63 @@ def test_int64map_handles_slot_collisions_in_one_batch():
     assert table.lookup(keys).tolist() == (keys * 2).tolist()
 
 
+def _colliding_keys(log2_cap, count):
+    """``count`` keys that all hash to the second-to-last slot of a
+    ``2**log2_cap`` table, so their probe chains wrap around its end."""
+    pool = np.arange(100_000, dtype=np.int64)
+    return pool[_hash_slots(pool, log2_cap) == (1 << log2_cap) - 2][:count]
+
+
+def test_int64map_matches_generational_oracle_across_rotations():
+    # Every key shares one home slot, so each insert and lookup walks a
+    # probe chain that wraps around the table's end, and same-batch keys
+    # contend for the same empty slot.
+    # Small batches keep each generation below half of the 16 slots, so
+    # the table never grows and the collisions hold throughout.
+    rng = random.Random(3)
+    pool = _colliding_keys(4, 14).tolist()
+    assert len(pool) == 14
+    table = Int64Map(initial_log2_cap=4, epoch_s=1.0)
+    current, previous = {}, {}
+    paths = set()
+    now = 0.0
+    for step in range(300):
+        if rng.random() < 0.3:
+            now += 1.0
+            table.maybe_rotate(now)
+            previous, current = current, {}
+        batch = rng.sample(pool, rng.randint(1, 3))
+        if len(current) + len(batch) > 8:
+            continue
+        keys = np.array(batch, dtype=np.int64)
+        if not previous:
+            paths.add("previous empty")
+        elif table._previous.may_hold(keys):
+            paths.add("both generations")
+        vals = np.array([rng.randrange(1000) for _ in batch], dtype=np.int64)
+        fresh = table.insert_new(keys, vals)
+        for k, v, f in zip(batch, vals.tolist(), fresh.tolist()):
+            assert f == (k not in current and k not in previous), step
+            if f:
+                current[k] = v
+        probe = np.array(pool + [10**9], dtype=np.int64)
+        want = [current.get(k, previous.get(k, -3)) for k in probe.tolist()]
+        assert table.lookup(probe, missing=-3).tolist() == want, step
+        assert table.size == len(current) + len(previous)
+        assert table._current.log2_cap == 4
+    # Both the empty-previous shortcut and the two-generation path ran.
+    assert paths == {"previous empty", "both generations"}
+
+
+def test_int64map_settles_same_slot_contention_in_one_batch():
+    table = Int64Map(initial_log2_cap=5, epoch_s=1e9)
+    keys = _colliding_keys(5, 6)
+    assert table.insert_new(keys, keys + 1).all()
+    assert table.lookup(keys).tolist() == (keys + 1).tolist()
+    assert not table.insert_new(keys[::-1], keys).any()
+    assert table.lookup(keys).tolist() == (keys + 1).tolist()
+
+
 def test_int64map_rejects_bad_config():
     with pytest.raises(ConfigError):
         Int64Map(epoch_s=0.0)
@@ -116,22 +168,3 @@ def test_token_bucket_array_matches_sequential_bucket_exactly():
 def test_token_bucket_array_rejects_nonpositive_rate():
     with pytest.raises(ConfigError):
         TokenBucketArray(3, 0.0)
-
-
-# ----------------------------------------------------------------------
-# GrowArray + dedup
-# ----------------------------------------------------------------------
-def test_grow_array_extends_across_reallocations():
-    buf = GrowArray(np.int64, initial=4)
-    chunks = [np.arange(k, dtype=np.int64) for k in (3, 5, 11, 2)]
-    for c in chunks:
-        buf.extend(c)
-    assert len(buf) == 21
-    assert buf.view().tolist() == np.concatenate(chunks).tolist()
-
-
-def test_dedup_first_occurrence_keeps_first_arrival():
-    keys = np.array([5, 3, 5, 9, 3, 5], dtype=np.int64)
-    uniq, first = dedup_first_occurrence(keys)
-    assert uniq.tolist() == [3, 5, 9]
-    assert first.tolist() == [1, 0, 3]
